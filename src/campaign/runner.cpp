@@ -1047,20 +1047,24 @@ persist::Status JobRunner::Impl::read_loop_state(persist::Reader& r,
 persist::Status JobRunner::Impl::finish_restore(bool has_adv,
                                                 const util::Rng& ev_rng,
                                                 const util::Rng& loss_rng) {
+  // Rebuild the adversary (sides are a pure function of seed/scenario/ids),
+  // then restore the stream states so every future draw continues exactly
+  // where the snapshot left off. A finished-stage snapshot carries them too:
+  // re-serializing the restored runner must reproduce the same bytes.
+  if (has_adv) {
+    adv.emplace(spec.seed, sc, eng->graph().ids());
+    adv->ev_rng = ev_rng;
+    adv->loss_rng = loss_rng;
+  }
   if (stage == Stage::kTimeline) {
-    // Rebuild the adversary (sides are a pure function of seed/scenario/
-    // ids), then restore the stream states so every future draw continues
-    // exactly where the snapshot left off. A finished-stage snapshot needs
-    // neither: the filter is uninstalled at finish.
+    // Filters and behaviors are live only inside the timeline: finish
+    // uninstalls them.
     if (!has_adv) {
       return persist::Status::failure("timeline snapshot without adversary");
     }
     if (byz_open.size() != sc.byzantine.size()) {
       return persist::Status::failure("byzantine window cursors missing");
     }
-    adv.emplace(spec.seed, sc, eng->graph().ids());
-    adv->ev_rng = ev_rng;
-    adv->loss_rng = loss_rng;
     install_filter();
     install_kv_filter();  // no-op unless the workload (and a window) is live
     // Reinstall the behavior policy for the restored round WITHOUT

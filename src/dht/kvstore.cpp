@@ -9,10 +9,6 @@
 namespace chs::dht {
 namespace {
 
-std::uint64_t cw(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -49,13 +45,13 @@ NodeId next_live_hop(const KvProtocol::NodeState& st, GuestId t,
   std::uint64_t detour_dist = ~std::uint64_t{0};
   const auto consider = [&](GuestId g, NodeId host) {
     if (host == KvProtocol::kNoneHost || !is_live(host)) return;
-    const std::uint64_t fwd = cw(g, t, n);
+    const std::uint64_t fwd = util::ring_cw(g, t, n);
     if (fwd < best_dist) {
       best_dist = fwd;
       best_host = host;
     }
     if (host != avoid) {
-      const std::uint64_t either = std::min(fwd, cw(t, g, n));
+      const std::uint64_t either = std::min(fwd, util::ring_cw(t, g, n));
       if (either < detour_dist) {
         detour_dist = either;
         detour_host = host;
@@ -69,7 +65,7 @@ NodeId next_live_hop(const KvProtocol::NodeState& st, GuestId t,
         g = t;
       } else {
         g = e.hi - 1;
-        if (cw(e.lo, t, n) < cw(g, t, n)) g = e.lo;
+        if (util::ring_cw(e.lo, t, n) < util::ring_cw(g, t, n)) g = e.lo;
       }
       consider(g, e.value);
     }
@@ -133,8 +129,7 @@ void KvProtocol::step(Ctx& ctx) {
   }
 
   const auto is_live = [&](NodeId h) {
-    if (!ctx.is_neighbor(h)) return false;
-    const auto* view = ctx.view(h);
+    const auto* view = ctx.view(h);  // null unless h is a neighbor
     return view != nullptr && !view->down;
   };
 

@@ -9,6 +9,7 @@ Graph::Graph(std::vector<NodeId> ids) : ids_(std::move(ids)) {
   CHS_CHECK_MSG(std::adjacent_find(ids_.begin(), ids_.end()) == ids_.end(),
                 "duplicate node ids");
   adj_.resize(ids_.size());
+  nbr_idx_.resize(ids_.size());
 }
 
 bool Graph::contains(NodeId id) const {
@@ -29,28 +30,55 @@ bool Graph::has_edge(NodeId u, NodeId v) const {
 
 bool Graph::add_edge(NodeId u, NodeId v) {
   if (u == v) return false;
-  auto& nu = adj_[index_of(u)];
+  const NodeIndex iu = index_of(u);
+  auto& nu = adj_[iu];
   auto it = std::lower_bound(nu.begin(), nu.end(), v);
   if (it != nu.end() && *it == v) return false;
+  const NodeIndex iv = index_of(v);
+  nbr_idx_[iu].insert(nbr_idx_[iu].begin() + (it - nu.begin()), iv);
   nu.insert(it, v);
-  auto& nv = adj_[index_of(v)];
-  nv.insert(std::lower_bound(nv.begin(), nv.end(), u), u);
+  auto& nv = adj_[iv];
+  auto jt = std::lower_bound(nv.begin(), nv.end(), u);
+  nbr_idx_[iv].insert(nbr_idx_[iv].begin() + (jt - nv.begin()), iu);
+  nv.insert(jt, u);
   ++num_edges_;
   return true;
 }
 
 bool Graph::remove_edge(NodeId u, NodeId v) {
   if (u == v) return false;
-  auto& nu = adj_[index_of(u)];
+  const NodeIndex iu = index_of(u);
+  auto& nu = adj_[iu];
   auto it = std::lower_bound(nu.begin(), nu.end(), v);
   if (it == nu.end() || *it != v) return false;
+  const NodeIndex iv = nbr_idx_[iu][it - nu.begin()];
+  nbr_idx_[iu].erase(nbr_idx_[iu].begin() + (it - nu.begin()));
   nu.erase(it);
-  auto& nv = adj_[index_of(v)];
+  auto& nv = adj_[iv];
   auto jt = std::lower_bound(nv.begin(), nv.end(), u);
   CHS_DCHECK(jt != nv.end() && *jt == u);
+  nbr_idx_[iv].erase(nbr_idx_[iv].begin() + (jt - nv.begin()));
   nv.erase(jt);
   --num_edges_;
   return true;
+}
+
+bool Graph::rebuild_indices() {
+  nbr_idx_.assign(adj_.size(), {});
+  if (adj_.size() != ids_.size()) return false;
+  for (std::size_t i = 0; i < adj_.size(); ++i) {
+    nbr_idx_[i].reserve(adj_[i].size());
+    for (NodeId v : adj_[i]) {
+      if (!contains(v)) return false;
+      nbr_idx_[i].push_back(index_of(v));
+    }
+  }
+  return true;
+}
+
+bool Graph::indices_consistent() const {
+  Graph fresh = *this;
+  return fresh.rebuild_indices() && fresh.nbr_idx_ == nbr_idx_;
 }
 
 std::size_t Graph::max_degree() const {

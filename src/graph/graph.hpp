@@ -5,6 +5,12 @@
 // engine owns one Graph instance and applies protocol edge actions to it
 // between rounds. Nodes carry sparse u64 ids (host ids are an arbitrary
 // subset of [0, N)) but adjacency is stored densely by index for speed.
+//
+// Each sorted neighbor-id list carries a parallel list of the neighbors'
+// NodeIndex, slot for slot (DESIGN.md D15). Ids are stored sorted, so index
+// order equals id order and both lists share one ordering; per-step code
+// finds a neighbor by id in the small list and reads its index from the same
+// slot instead of searching the whole id set with index_of.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +58,23 @@ class Graph {
     return adj_[index_of(u)];
   }
 
+  /// Sorted neighbor ids of the node at index i.
+  const std::vector<NodeId>& neighbors_at(NodeIndex i) const {
+    CHS_DCHECK(i < adj_.size());
+    return adj_[i];
+  }
+
+  /// NodeIndex of each neighbor of the node at index i, slot for slot with
+  /// neighbors_at(i) (so also ascending).
+  const std::vector<NodeIndex>& neighbor_indices(NodeIndex i) const {
+    CHS_DCHECK(i < nbr_idx_.size());
+    return nbr_idx_[i];
+  }
+
+  /// Full-recompute cross-check of the cached index lists: every slot
+  /// satisfies neighbor_indices(i)[k] == index_of(neighbors_at(i)[k]).
+  bool indices_consistent() const;
+
   std::size_t degree(NodeId u) const { return adj_[index_of(u)].size(); }
 
   std::size_t max_degree() const;
@@ -63,17 +86,26 @@ class Graph {
   bool same_topology(const Graph& other) const;
 
   /// Checkpoint/restore (DESIGN.md D9): the edge set is distributed state in
-  /// the overlay model, so the whole adjacency round-trips exactly.
+  /// the overlay model, so the whole adjacency round-trips exactly. The
+  /// neighbor-index lists are derived data: never written, rebuilt on read.
   template <typename A>
   void persist_fields(A& a) {
     a(ids_);
     a(adj_);
     a(num_edges_);
+    if constexpr (A::kIsReader) {
+      // A CRC-valid but stale blob must fail with a Status, not abort in
+      // index_of: an adjacency naming an unknown id is rejected here.
+      if (!rebuild_indices()) a.fail("graph adjacency names an unknown node");
+    }
   }
 
  private:
-  std::vector<NodeId> ids_;               // sorted
-  std::vector<std::vector<NodeId>> adj_;  // adj_[i] sorted by id
+  bool rebuild_indices();
+
+  std::vector<NodeId> ids_;                      // sorted
+  std::vector<std::vector<NodeId>> adj_;         // adj_[i] sorted by id
+  std::vector<std::vector<NodeIndex>> nbr_idx_;  // [i][k]: index of adj_[i][k]
   std::size_t num_edges_ = 0;
 };
 

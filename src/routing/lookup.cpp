@@ -12,10 +12,6 @@
 
 namespace chs::routing {
 namespace {
-std::uint64_t clockwise(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-
 NodeId host_for(GuestId g, std::span<const NodeId> sorted_ids) {
   if (sorted_ids.empty()) return g;
   return avatar::host_of(g, sorted_ids);
@@ -64,10 +60,10 @@ LookupResult greedy_lookup(const topology::TargetSpec& target,
   while (cur != t) {
     if (res.guest_hops > budget) return res;  // stuck / cycling
     GuestId best = cur;
-    std::uint64_t best_dist = clockwise(cur, t, n_guests);
+    std::uint64_t best_dist = util::ring_cw(cur, t, n_guests);
     for (GuestId v : guest_neighbors(target, cur, n_guests)) {
       if (!is_alive(v)) continue;
-      const std::uint64_t d = clockwise(v, t, n_guests);
+      const std::uint64_t d = util::ring_cw(v, t, n_guests);
       if (d < best_dist) {
         best_dist = d;
         best = v;
@@ -154,9 +150,9 @@ CongestionStats target_congestion(const topology::TargetSpec& target,
     std::uint64_t hops = 0;
     while (cur != t && hops <= budget) {
       GuestId best = cur;
-      std::uint64_t best_dist = clockwise(cur, t, n_guests);
+      std::uint64_t best_dist = util::ring_cw(cur, t, n_guests);
       for (GuestId v : guest_neighbors(target, cur, n_guests)) {
-        const std::uint64_t d = clockwise(v, t, n_guests);
+        const std::uint64_t d = util::ring_cw(v, t, n_guests);
         if (d < best_dist) {
           best_dist = d;
           best = v;

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
+#include "util/bitops.hpp"
+
 namespace chs::routing {
-namespace {
-std::uint64_t cw(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-}  // namespace
 
 NodeId LookupProtocol::next_hop(const NodeState& st, GuestId t,
                                 std::uint64_t n,
@@ -25,7 +22,7 @@ NodeId LookupProtocol::next_hop(const NodeState& st, GuestId t,
       return;
     }
     // distance from g forward to t; g must not overshoot (g == t allowed).
-    const std::uint64_t d = cw(g, t, n);
+    const std::uint64_t d = util::ring_cw(g, t, n);
     if (d < best_dist) {
       best_dist = d;
       best_host = host;
@@ -40,7 +37,7 @@ NodeId LookupProtocol::next_hop(const NodeState& st, GuestId t,
       } else {
         g = e.hi - 1;
         // Compare both the last and first guest of the interval (ring).
-        if (cw(e.lo, t, n) < cw(g, t, n)) g = e.lo;
+        if (util::ring_cw(e.lo, t, n) < util::ring_cw(g, t, n)) g = e.lo;
       }
       consider(g, e.value);
     }

@@ -191,27 +191,33 @@ class NodeCtx {
 
   /// Previous-round public state of neighbor v; a false-y view (null
   /// pointer for the default store, invalid PublicView for arena stores) if
-  /// v is not a neighbor. The last lookup is memoized: protocols typically
-  /// probe the same neighbor from several checks within one step, and the
-  /// repeat costs two binary searches without the cache.
+  /// v is not a neighbor. One binary search over the neighbor list finds
+  /// v's slot, which also holds v's NodeIndex (DESIGN.md D15). The last
+  /// lookup is memoized: protocols typically probe the same neighbor from
+  /// several checks within one step, and the repeat would cost that search
+  /// plus the view build (an arena store copies the whole hot row).
   SnapshotView view(NodeId v) const {
     if (v == view_cache_id_) return view_cache_;
-    SnapshotView p =
-        is_neighbor(v) ? engine_->snapshot_view(v) : SnapshotView{};
+    const std::size_t k = slot_of(v);
+    SnapshotView p = k != kNoSlot
+                         ? engine_->store_.view((*neighbor_indices_)[k])
+                         : SnapshotView{};
     view_cache_id_ = v;
     view_cache_ = p;
     return p;
   }
 
-  /// Send a message over an existing edge; delivered after the engine's
-  /// message delay (1 round by default). The edge-existence check is a
-  /// debug-build assertion (CHS_DCHECK): protocols address only neighbors
-  /// they just read via neighbors()/view(), so the release-build binary
-  /// search per send was pure overhead.
+  /// Send a message over an existing edge (or to self); delivered after the
+  /// engine's message delay (1 round by default). The recipient's index
+  /// comes from the same neighbor-list slot that proves the edge exists.
   void send(NodeId to, Message m) {
-    CHS_DCHECK(engine_->graph_.has_edge(self_, to) || to == self_);
-    acts_->sends.push_back({self_idx_, engine_->graph_.index_of(to),
-                            std::move(m)});
+    NodeIndex to_idx = self_idx_;
+    if (to != self_) {
+      const std::size_t k = slot_of(to);
+      CHS_CHECK_MSG(k != kNoSlot, "send to a non-neighbor");
+      to_idx = (*neighbor_indices_)[k];
+    }
+    acts_->sends.push_back({self_idx_, to_idx, std::move(m)});
   }
 
   /// Deliver a message to self after `delay` rounds (>= 1). Used to pace
@@ -235,8 +241,8 @@ class NodeCtx {
   /// reading anyway; the request itself is applied between rounds.
   void introduce(NodeId a, NodeId b, const char* site = "?") {
     CHS_CHECK_MSG(a != b, "introduce(a, a)");
-    const bool a_ok = a == self_ || engine_->graph_.has_edge(self_, a);
-    const bool b_ok = b == self_ || engine_->graph_.has_edge(self_, b);
+    const bool a_ok = a == self_ || is_neighbor(a);
+    const bool b_ok = b == self_ || is_neighbor(b);
     if (!(a_ok && b_ok)) {
       std::fprintf(stderr,
                    "introduce of non-neighbors: self=%llu a=%llu(%d) "
@@ -270,6 +276,16 @@ class NodeCtx {
 
  private:
   friend class Engine<P>;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Position of v in the neighbor list, or kNoSlot.
+  std::size_t slot_of(NodeId v) const {
+    const auto it = std::lower_bound(neighbors_->begin(), neighbors_->end(), v);
+    return it != neighbors_->end() && *it == v
+               ? static_cast<std::size_t>(it - neighbors_->begin())
+               : kNoSlot;
+  }
+
   NodeId self_ = 0;
   NodeIndex self_idx_ = 0;
   std::uint64_t round_ = 0;
@@ -277,6 +293,7 @@ class NodeCtx {
   util::Rng* rng_ = nullptr;
   std::span<const Envelope<Message>> inbox_;
   const std::vector<NodeId>* neighbors_ = nullptr;
+  const std::vector<NodeIndex>* neighbor_indices_ = nullptr;  // slot for slot
   Engine<P>* engine_ = nullptr;
   ActionBuffer<Message>* acts_ = nullptr;
   mutable NodeId view_cache_id_ = ~NodeId{0};
@@ -393,7 +410,7 @@ class Engine {
     store_.publish_now(protocol_, states_[i], i);
     metrics_.count_snapshots(1);
     wake(i);
-    for (NodeId nb : graph_.neighbors(id)) wake(graph_.index_of(nb));
+    for (NodeIndex nb : graph_.neighbor_indices(i)) wake(nb);
   }
 
   /// Direct topology mutation for fault injection; bypasses overlay rules.
@@ -642,6 +659,7 @@ class Engine {
     }
     pending_deletes_.clear();
     pending_adds_.clear();
+    CHS_DCHECK(graph_.indices_consistent());
     prof.lap(RoundPhase::kApply);
 
     // --- dirty-snapshot publish: only nodes whose state may have changed
@@ -933,6 +951,7 @@ class Engine {
     // --- commit -------------------------------------------------------------
     if (staged_protocol) protocol_ = std::move(*staged_protocol);
     graph_ = std::move(g);
+    CHS_DCHECK(graph_.indices_consistent());
     round_ = round;
     round_actions_ = round_actions;
     quiescent_streak_ = quiescent_streak;
@@ -1232,6 +1251,7 @@ class Engine {
     // --- commit -------------------------------------------------------------
     if (staged_protocol) protocol_ = std::move(*staged_protocol);
     if (topo) graph_ = std::move(g);
+    CHS_DCHECK(graph_.indices_consistent());
     round_ = round;
     round_actions_ = round_actions;
     quiescent_streak_ = quiescent_streak;
@@ -1345,10 +1365,6 @@ class Engine {
   // streams disjoint from root_rng_.split(id).
   static constexpr std::uint64_t kDelayStreamSalt = 0xd31a'57f3'0b5e'9c11ULL;
 
-  typename Store::View snapshot_view(NodeId v) const {
-    return store_.view(graph_.index_of(v));
-  }
-
   void wake(NodeIndex i) {
     if (!woken_mark_[i]) {
       woken_mark_[i] = 1;
@@ -1423,7 +1439,8 @@ class Engine {
     ctx.state_ = &states_[i];
     ctx.rng_ = &rngs_[i];
     ctx.inbox_ = mail_.inbox(i);
-    ctx.neighbors_ = &graph_.neighbors(ctx.self_);
+    ctx.neighbors_ = &graph_.neighbors_at(i);
+    ctx.neighbor_indices_ = &graph_.neighbor_indices(i);
     ctx.engine_ = this;
     ctx.acts_ = &buf;
     protocol_.step(ctx);
@@ -1476,9 +1493,8 @@ class Engine {
     const bool changed =
         store_.publish_compare(protocol_, states_[i], i, slot.scratch, shard);
     if (changed) {
-      for (NodeId nb : graph_.neighbors(graph_.id_of(i))) {
-        slot.wake.push_back(graph_.index_of(nb));
-      }
+      const auto& nbrs = graph_.neighbor_indices(i);
+      slot.wake.insert(slot.wake.end(), nbrs.begin(), nbrs.end());
     }
   }
 

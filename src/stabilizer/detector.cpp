@@ -104,7 +104,7 @@ bool Protocol::check_local(Ctx& ctx) const {
   const auto check_structural = [&](GuestId pos, NodeId host,
                                     bool pos_in_their_range) {
     if (host == kNone || host == st.id) CHS_FAULT();
-    if (!ctx.is_neighbor(host)) CHS_FAULT();
+    // A false-y view means host is not a neighbor.
     const auto v = ctx.view(host);
     if (!v) CHS_FAULT();
     if (!cluster_ok(*v)) CHS_FAULT();
@@ -135,18 +135,18 @@ bool Protocol::check_local(Ctx& ctx) const {
     if (!check_structural(*pp, host, true)) CHS_FAULT();
   }
   if (st.succ != kNone) {
-    if (!ctx.is_neighbor(st.succ)) CHS_FAULT();
-    const auto v = ctx.view(st.succ);
-    if (!v || !cluster_ok(*v)) CHS_FAULT();
+    if (!ctx.view(st.succ)) CHS_FAULT();  // not a neighbor
+    const auto v = ctx.view(st.succ);     // memoized repeat
+    if (!cluster_ok(*v)) CHS_FAULT();
     if (!merge_window && v->id != st.hi) CHS_FAULT();  // ranges must tile
     // Ring reciprocity: my successor's pred pointer names me (same
     // stale-membership argument as the structural-map check above).
     if (!merge_window && v->pred != st.id) CHS_FAULT();
   }
   if (st.pred != kNone) {
-    if (!ctx.is_neighbor(st.pred)) CHS_FAULT();
-    const auto v = ctx.view(st.pred);
-    if (!v || !cluster_ok(*v)) CHS_FAULT();
+    if (!ctx.view(st.pred)) CHS_FAULT();  // not a neighbor
+    const auto v = ctx.view(st.pred);     // memoized repeat
+    if (!cluster_ok(*v)) CHS_FAULT();
     if (!merge_window && v->hi != st.lo) CHS_FAULT();
     if (!merge_window && v->succ != st.id) CHS_FAULT();
   }

@@ -169,7 +169,9 @@ void Protocol::structural_neighbors(const HostState& st,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-NodeId Protocol::deletion_certificate(Ctx& ctx, NodeId v) const {
+NodeId Protocol::deletion_certificate(Ctx& ctx,
+                                      std::span<const NodeId> structural,
+                                      NodeId v) const {
   // Connectivity certificate: some structural neighbor w currently reports
   // v as its own neighbor, so dropping (me, v) leaves the path me-w-v.
   // The views are one round stale, so the certificate alone is NOT safe:
@@ -179,9 +181,9 @@ NodeId Protocol::deletion_certificate(Ctx& ctx, NodeId v) const {
   // The witness w is therefore returned with the disconnect request and
   // the engine re-validates the path me-w-v against the live graph at
   // apply time, dropping the delete if it has vanished.
-  for (NodeId w : structural_neighbors(ctx.state())) {
-    if (w == v || !ctx.is_neighbor(w)) continue;
-    const auto view = ctx.view(w);
+  for (NodeId w : structural) {
+    if (w == v) continue;
+    const auto view = ctx.view(w);  // false-y unless w is a neighbor
     if (view && view->has_neighbor(v)) return w;
   }
   return kNone;
@@ -221,7 +223,7 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
     // new structure mirrors, or via external corruption, which republishes
     // before the next round (DESIGN.md D4).
     if (view->considers_structural(st.id)) continue;
-    if (const NodeId w = deletion_certificate(ctx, v); w != kNone)
+    if (const NodeId w = deletion_certificate(ctx, structural, v); w != kNone)
       ctx.disconnect(v, "protocol-d0", w);
   }
 }

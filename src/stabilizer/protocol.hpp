@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -145,9 +146,11 @@ class Protocol {
   /// dirty node per round and must reuse the snapshot's buffer.
   void structural_neighbors(const HostState& st, std::vector<NodeId>& out) const;
   /// Returns the certificate witness w (path me-w-v in current views), or
-  /// kNone when no certificate exists. The engine re-validates the path at
+  /// kNone when no certificate exists; `structural` is
+  /// structural_neighbors(ctx.state()). The engine re-validates the path at
   /// apply time — see Ctx::disconnect's witness parameter.
-  NodeId deletion_certificate(Ctx& ctx, NodeId v) const;
+  NodeId deletion_certificate(Ctx& ctx, std::span<const NodeId> structural,
+                              NodeId v) const;
   void classify_and_clean_edges(Ctx& ctx);
   std::vector<NodeId> external_neighbors(Ctx& ctx) const;
 

@@ -9,6 +9,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "util/check.hpp"
+
 namespace chs::util {
 
 /// ceil(log2(x)) for x >= 1; 0 for x <= 1.
@@ -41,6 +43,14 @@ constexpr std::uint32_t chord_num_fingers(std::uint64_t n_guests) {
 /// most 2 * (log N + 1) rounds (down then up, one guest level per round).
 constexpr std::uint64_t pif_wave_round_bound(std::uint64_t n_guests) {
   return 2 * (static_cast<std::uint64_t>(ceil_log2(n_guests)) + 1);
+}
+
+/// Clockwise distance from guest `from` to guest `to` on the ring [0, n):
+/// (to - from) mod n, without the division.
+inline std::uint64_t ring_cw(std::uint64_t from, std::uint64_t to,
+                             std::uint64_t n) {
+  CHS_DCHECK(from < n && to < n);
+  return to >= from ? to - from : to + n - from;
 }
 
 }  // namespace chs::util

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/analysis.hpp"
 #include "graph/graph.hpp"
+#include "persist/io.hpp"
+#include "util/rng.hpp"
 
 namespace chs::graph {
 namespace {
@@ -67,6 +72,118 @@ TEST(Graph, SameTopology) {
   b.add_edge(2, 3);
   EXPECT_FALSE(a.same_topology(b));
   EXPECT_FALSE(a.same_topology(c));
+}
+
+// --- neighbor-slot index (DESIGN.md D15) -----------------------------------
+
+/// Every neighbor list's parallel index list, re-derived the slow way.
+void expect_slots_match(const Graph& g) {
+  ASSERT_TRUE(g.indices_consistent());
+  for (NodeIndex i = 0; i < g.size(); ++i) {
+    const auto& ids = g.neighbors_at(i);
+    const auto& idx = g.neighbor_indices(i);
+    ASSERT_EQ(ids.size(), idx.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_EQ(g.id_of(idx[k]), ids[k]);
+    }
+  }
+}
+
+TEST(Graph, NeighborIndicesTrackRandomAddRemoveSequences) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    std::vector<NodeId> ids;
+    for (NodeId v = 0; v < 40; ++v) ids.push_back(v * 7 + seed);  // sparse
+    Graph g(ids);
+    std::size_t edges = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const NodeId u = ids[rng.next_below(ids.size())];
+      const NodeId v = ids[rng.next_below(ids.size())];
+      const bool had = g.has_edge(u, v);
+      if (rng.next_below(3) == 0) {
+        EXPECT_EQ(g.remove_edge(u, v), had);
+        if (had) --edges;
+      } else {
+        EXPECT_EQ(g.add_edge(u, v), !had && u != v);
+        if (!had && u != v) ++edges;
+      }
+      if (op % 97 == 0) expect_slots_match(g);
+    }
+    EXPECT_EQ(g.num_edges(), edges);
+    expect_slots_match(g);
+  }
+}
+
+std::vector<std::uint8_t> graph_bytes(Graph& g) {
+  persist::Writer w(persist::BlobKind::kRaw);
+  w.begin_section(persist::tag4("GRPH"));
+  w(g);
+  w.end_section();
+  return w.take();
+}
+
+Graph dense_sample() {
+  Graph g({3, 10, 11, 40, 41, 90});
+  g.add_edge(3, 90);
+  g.add_edge(10, 41);
+  g.add_edge(40, 10);
+  g.add_edge(11, 3);
+  g.add_edge(41, 90);
+  g.remove_edge(10, 41);
+  return g;
+}
+
+TEST(Graph, CheckpointBytesCarryNoIndex) {
+  // The index is derived data: a Graph serializes exactly as the three
+  // fields ids, adjacency and edge count, written one after the other.
+  Graph g = dense_sample();
+  std::vector<NodeId> ids = g.ids();
+  std::vector<std::vector<NodeId>> adj;
+  for (NodeId v : ids) adj.push_back(g.neighbors(v));
+  std::size_t num_edges = g.num_edges();
+  persist::Writer w(persist::BlobKind::kRaw);
+  w.begin_section(persist::tag4("GRPH"));
+  w(ids);
+  w(adj);
+  w(num_edges);
+  w.end_section();
+  EXPECT_EQ(graph_bytes(g), w.take());
+}
+
+TEST(Graph, RestoreRebuildsTheIndex) {
+  Graph g = dense_sample();
+  const auto bytes = graph_bytes(g);
+  Graph back;
+  persist::Reader r(bytes);
+  ASSERT_TRUE(r.expect_header(persist::BlobKind::kRaw).ok);
+  ASSERT_TRUE(r.open_section(persist::tag4("GRPH")).ok);
+  r(back);
+  ASSERT_TRUE(r.close_section().ok);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(back.same_topology(g));
+  expect_slots_match(back);
+  for (NodeIndex i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(back.neighbor_indices(i), g.neighbor_indices(i));
+  }
+}
+
+TEST(Graph, RestoreRejectsAnAdjacencyNamingAnUnknownNode) {
+  std::vector<NodeId> ids{1, 2};
+  std::vector<std::vector<NodeId>> adj{{5}, {}};
+  std::size_t num_edges = 1;
+  persist::Writer w(persist::BlobKind::kRaw);
+  w.begin_section(persist::tag4("GRPH"));
+  w(ids);
+  w(adj);
+  w(num_edges);
+  w.end_section();
+  const auto bytes = w.take();
+  Graph back;
+  persist::Reader r(bytes);
+  ASSERT_TRUE(r.expect_header(persist::BlobKind::kRaw).ok);
+  ASSERT_TRUE(r.open_section(persist::tag4("GRPH")).ok);
+  r(back);  // must fail with a Status, not abort in index_of
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Analysis, Connectivity) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "core/churn.hpp"
@@ -146,6 +147,44 @@ TEST(ParallelDeterminism, ChurnScheduleIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(base->metrics().messages(), wide->metrics().messages());
   EXPECT_EQ(base->metrics().max_degree_trace(),
             wide->metrics().max_degree_trace());
+}
+
+// The neighbor-slot index (DESIGN.md D15) is a cache of the adjacency; the
+// round observer runs after every apply phase, so it sees every topology the
+// step and publish shards will read. A full recompute must agree each round,
+// through a cold start and a churn schedule (external edge removals), at
+// every worker count.
+TEST(ParallelDeterminism, NeighborIndexMatchesRecomputeEveryRound) {
+  util::set_log_level(util::LogLevel::kError);
+  std::vector<std::uint64_t> messages;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    util::Rng rng(13);
+    auto ids = graph::sample_ids(64, 256, rng);
+    Params p;
+    p.n_guests = 256;
+    auto eng = core::make_engine(graph::make_random_tree(ids, rng), p, 9);
+    eng->set_worker_threads(workers);
+    std::uint64_t rounds = 0, bad = 0, deltas = 0;
+    eng->set_round_observer([&](std::uint64_t, std::span<const sim::NodeIndex>,
+                                std::span<const sim::EdgeDelta> d) {
+      ++rounds;
+      deltas += d.size();
+      if (!eng->graph().indices_consistent()) ++bad;
+    });
+    ASSERT_TRUE(core::run_to_convergence(*eng, 400000).converged);
+    core::ChurnSchedule sched;
+    sched.episodes = 2;
+    sched.burst = 2;
+    sched.seed = 3;
+    EXPECT_TRUE(core::run_churn_schedule(*eng, sched).all_recovered);
+    EXPECT_GT(rounds, 0u);
+    EXPECT_GT(deltas, 0u);
+    EXPECT_EQ(bad, 0u) << workers << " workers";
+    EXPECT_TRUE(eng->graph().indices_consistent());
+    messages.push_back(eng->metrics().messages());
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[0], messages[2]);
 }
 
 // --- thread-count determinism on a send-heavy toy protocol ----------------

@@ -429,6 +429,33 @@ TEST(JobCheckpoint, ResumeInsideLossAndPartitionWindowIsByteIdentical) {
   EXPECT_GT(check.result().messages_dropped, 0u);
 }
 
+TEST(JobCheckpoint, FinishedJobReserializesByteIdentically) {
+  // A finished-stage snapshot carries the adversary's event and loss
+  // streams like any timeline snapshot; a runner restored from it must
+  // write them back, so its own snapshot is the same bytes.
+  util::set_log_level(util::LogLevel::kError);
+  const Scenario sc = windowed_scenario();
+  const auto jobs = campaign::expand_jobs(sc);
+  campaign::JobRunner donor(sc, jobs[0]);
+  donor.run();
+  ASSERT_TRUE(donor.finished());
+  const auto snapshot = [](campaign::JobRunner& jr) {
+    persist::Writer w(persist::BlobKind::kJob);
+    jr.checkpoint(w);
+    return w.take();
+  };
+  const auto want = snapshot(donor);
+
+  campaign::JobRunner restored(sc, jobs[0]);
+  persist::Reader r(want);
+  ASSERT_TRUE(r.expect_header(persist::BlobKind::kJob).ok);
+  ASSERT_TRUE(restored.restore(r).ok);
+  ASSERT_TRUE(r.expect_end().ok);
+  ASSERT_TRUE(restored.finished());
+  EXPECT_EQ(snapshot(restored), want);
+  EXPECT_EQ(result_bytes(restored.result()), result_bytes(donor.result()));
+}
+
 TEST(JobCheckpoint, OracleProbeStateRoundTrips) {
   // A stride-8 oracle accumulates pending hosts across rounds; resuming
   // must preserve the stride phase and counters so oracle_* report fields

@@ -109,6 +109,39 @@ TEST(DeltaCheckpoint, RestoredChainKeepsSteppingBitIdentically) {
   EXPECT_EQ(engine_blob(*chained), engine_blob(*full));
 }
 
+TEST(DeltaCheckpoint, FullAndDeltaRestoresRebuildTheNeighborIndex) {
+  // The neighbor-slot index (DESIGN.md D15) never reaches a blob; both
+  // restore paths must rebuild it to exactly what the live engine holds.
+  auto eng = tree_engine(16, 64, 5, /*delay=*/2);
+  for (int r = 0; r < 20; ++r) eng->step_round();
+  const auto base = eng->checkpoint_blob();
+  // The delta must carry a topology change for its graph path to run.
+  const auto edges = [&] {
+    return eng->metrics().edge_adds() + eng->metrics().edge_dels();
+  };
+  const auto edges0 = edges();
+  for (int r = 0; r < 5000 && edges() == edges0; ++r) eng->step_round();
+  ASSERT_GT(edges(), edges0);
+  const auto delta = eng->checkpoint_delta_blob();
+
+  const auto expect_same_graph = [&](const graph::Graph& got,
+                                     const graph::Graph& want) {
+    EXPECT_TRUE(got.indices_consistent());
+    EXPECT_TRUE(got.same_topology(want));
+    for (graph::NodeIndex i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.neighbor_indices(i), want.neighbor_indices(i));
+    }
+  };
+  auto full = tree_engine(16, 64, 5, 2);
+  ASSERT_TRUE(full->restore_blob(engine_blob(*eng)).ok);
+  expect_same_graph(full->graph(), eng->graph());
+  auto chained = tree_engine(16, 64, 5, 2);
+  ASSERT_TRUE(chained->restore_blob(base).ok);
+  ASSERT_TRUE(chained->graph().indices_consistent());
+  ASSERT_TRUE(chained->restore_delta_blob(delta).ok);
+  expect_same_graph(chained->graph(), eng->graph());
+}
+
 TEST(DeltaCheckpoint, QuiescentDeltaIsSmallFractionOfFullBlob) {
   // Converge 300 hosts, then idle in active-set mode: the delta covers
   // the handful of nodes that woke, not the network. The payoff is an
