@@ -21,57 +21,13 @@ std::uint64_t attempt_budget(std::uint64_t n_guests) {
   return 6 * (static_cast<std::uint64_t>(util::ceil_log2(n_guests)) + 2);
 }
 
-// Hard per-message hop cap: routes that lost greedy progress (detours
-// around down hosts, below) circulate at most this long before the drop is
-// surfaced to the client as a timeout.
+// Hard per-message hop cap. Each hop forwards to the closest-preceding live
+// neighbor (KvProtocol::step); when down hosts hold the fingers that would
+// make progress, the best live one may overshoot the target, so a route can
+// wander. It is dropped after this many hops and surfaces to the client as
+// a timeout, which the client's replica retry covers.
 std::uint32_t hop_cap(std::uint64_t n_guests) {
   return 4 * (util::ceil_log2(n_guests) + 2);
-}
-
-// Down-aware closest-preceding-finger (same geometry as
-// routing::LookupProtocol::next_hop, restricted to hosts whose published
-// heartbeat is live). When no live neighbor precedes the target — the greedy
-// invariant is unsatisfiable because the hosts that would make progress are
-// down — fall back to the live neighbor whose representative guest is
-// ring-closest to the target in either direction. Detours can revisit hosts;
-// the hop cap bounds the walk and the client's replica retry covers the rest.
-template <typename IsLive>
-NodeId next_live_hop(const KvProtocol::NodeState& st, GuestId t,
-                     std::uint64_t n, NodeId avoid, IsLive&& is_live) {
-  if (t >= st.lo && t < st.hi) return KvProtocol::kNoneHost;
-  NodeId best_host = KvProtocol::kNoneHost;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  NodeId detour_host = KvProtocol::kNoneHost;
-  std::uint64_t detour_dist = ~std::uint64_t{0};
-  const auto consider = [&](GuestId g, NodeId host) {
-    if (host == KvProtocol::kNoneHost || !is_live(host)) return;
-    const std::uint64_t fwd = util::ring_cw(g, t, n);
-    if (fwd < best_dist) {
-      best_dist = fwd;
-      best_host = host;
-    }
-    if (host != avoid) {
-      const std::uint64_t either = std::min(fwd, util::ring_cw(t, g, n));
-      if (either < detour_dist) {
-        detour_dist = either;
-        detour_host = host;
-      }
-    }
-  };
-  for (const auto& level : st.fwd) {
-    for (const auto& e : level.entries()) {
-      GuestId g;
-      if (t >= e.lo && t < e.hi) {
-        g = t;
-      } else {
-        g = e.hi - 1;
-        if (util::ring_cw(e.lo, t, n) < util::ring_cw(g, t, n)) g = e.lo;
-      }
-      consider(g, e.value);
-    }
-  }
-  if (st.succ != KvProtocol::kNoneHost) consider(st.hi % n, st.succ);
-  return best_host != KvProtocol::kNoneHost ? best_host : detour_host;
 }
 
 }  // namespace
@@ -128,6 +84,8 @@ void KvProtocol::step(Ctx& ctx) {
     return;
   }
 
+  // Closest-preceding finger among live neighbors (DESIGN.md D16): hosts
+  // whose one-round-stale heartbeat says up.
   const auto is_live = [&](NodeId h) {
     const auto* view = ctx.view(h);  // null unless h is a neighbor
     return view != nullptr && !view->down;
@@ -169,31 +127,29 @@ void KvProtocol::step(Ctx& ctx) {
     return Message{};
   };
 
-  const auto route = [&](Message m, NodeId from) {
+  const auto route = [&](Message m) {
     while (true) {
       if (m.target >= st.lo && m.target < st.hi) {
         Message reply = deliver_local(m);
         if (m.kind == Message::Kind::kPut || m.kind == Message::Kind::kGet) {
           m = std::move(reply);  // route the ack/reply from here
-          from = ctx.self();
           continue;
         }
         return;  // ack/reply consumed by the client host
       }
-      if (m.hops >= hop_cap(n_guests_)) return;  // detoured too long: drop
-      // Prefer not to bounce straight back to the sender when detouring.
-      const NodeId next =
-          next_live_hop(st, m.target, n_guests_, /*avoid=*/from, is_live);
+      if (m.hops >= hop_cap(n_guests_)) return;  // wandered too long: drop
+      const NodeId next = st.router.next_hop(st.lo, st.hi, st.fwd, st.succ,
+                                             m.target, n_guests_, is_live);
       if (next == kNoneHost || next == ctx.self()) return;  // dead end: drop
       ++m.hops;
-      ctx.send(next, m);
+      ctx.send(next, std::move(m));
       return;
     }
   };
 
-  for (Message& m : st.to_send) route(std::move(m), ctx.self());
+  for (Message& m : st.to_send) route(std::move(m));
   st.to_send.clear();
-  for (const auto& env : ctx.inbox()) route(env.msg, env.from);
+  for (const auto& env : ctx.inbox()) route(env.msg);
   schedule_wakeups(ctx);
 }
 

@@ -15,6 +15,10 @@
 // which is what makes failover work without a failure detector on the whole
 // path). The host responsible for that guest stores the pair.
 //
+// Routing. Every hop forwards by Chord's closest-preceding-finger rule
+// among live neighbors, answered by a per-host routing::FingerRouter table
+// (DESIGN.md D16) shared with routing::LookupProtocol.
+//
 // Failures. A host can be marked down: it stops processing messages and
 // publishes `down` so neighbors route around it (one-round-stale heartbeat
 // knowledge, the standard assumption). A get whose route dead-ends or whose
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "core/network.hpp"
+#include "routing/finger_router.hpp"
 #include "sim/engine.hpp"
 #include "util/interval_map.hpp"
 
@@ -46,7 +51,7 @@ GuestId replica_guest(std::uint64_t key, std::uint32_t j,
 
 class KvProtocol {
  public:
-  static constexpr NodeId kNoneHost = ~std::uint64_t{0};
+  static constexpr NodeId kNoneHost = routing::kNoHop;
   /// Active-set stepping (DESIGN.md D6): the data plane is purely
   /// message-driven, so only hosts with deliveries due (or freshly injected
   /// client ops, which state_mut wakes) run a step. Idle hosts cost nothing,
@@ -87,6 +92,9 @@ class KvProtocol {
     std::uint64_t dropped_ops = 0;
     // Routed messages swallowed because they arrived at a down host.
     std::uint64_t dropped_msgs = 0;
+    // Next-hop table over (lo, hi, fwd, succ): derived, never serialized,
+    // invalidated by on_restore (DESIGN.md D16).
+    routing::FingerRouter router;
 
     /// Remove and return the completion matching (op_id, kind), if present.
     std::optional<Message> take_completion(std::uint64_t op_id,
@@ -119,6 +127,10 @@ class KvProtocol {
   /// configuration (n_guests_, supplied by the factory on restore).
   template <typename A>
   void persist_fields(A&) {}
+
+  /// Engine restore hook: the next-hop table is rebuilt from the restored
+  /// routing state on the host's next hop.
+  void on_restore(NodeState& st) const { st.router.invalidate(); }
 
  private:
   std::uint64_t n_guests_;

@@ -387,7 +387,7 @@ void persist_fields(A& a, LookupProtocol::NodeState& v) {
 }
 
 template <typename A>
-void persist_fields(A& a, LookupProtocol::PublicState&) {}
+void persist_fields(A&, LookupProtocol::PublicState&) {}
 
 }  // namespace chs::routing
 

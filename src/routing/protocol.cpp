@@ -2,48 +2,17 @@
 
 #include <algorithm>
 
-#include "util/bitops.hpp"
-
 namespace chs::routing {
 
 NodeId LookupProtocol::next_hop(const NodeState& st, GuestId t,
                                 std::uint64_t n,
                                 const std::vector<NodeId>* usable) {
-  if (t >= st.lo && t < st.hi) return kNoneHost;  // local
-  // Closest-preceding-finger: among all guests reachable in one hop (the
-  // images of my range under +2^k, plus my successor's range start), pick
-  // the one that precedes t most closely on the ring.
-  NodeId best_host = kNoneHost;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  const auto consider = [&](GuestId g, NodeId host) {
-    if (host == kNoneHost) return;
-    if (usable != nullptr &&
-        !std::binary_search(usable->begin(), usable->end(), host)) {
-      return;
-    }
-    // distance from g forward to t; g must not overshoot (g == t allowed).
-    const std::uint64_t d = util::ring_cw(g, t, n);
-    if (d < best_dist) {
-      best_dist = d;
-      best_host = host;
-    }
-  };
-  for (const auto& level : st.fwd) {
-    for (const auto& e : level.entries()) {
-      // The guest in [e.lo, e.hi) closest-preceding t:
-      GuestId g;
-      if (t >= e.lo && t < e.hi) {
-        g = t;
-      } else {
-        g = e.hi - 1;
-        // Compare both the last and first guest of the interval (ring).
-        if (util::ring_cw(e.lo, t, n) < util::ring_cw(g, t, n)) g = e.lo;
-      }
-      consider(g, e.value);
-    }
-  }
-  if (st.succ != kNoneHost) consider(st.hi % n, st.succ);
-  return best_host;
+  return st.router.next_hop(st.lo, st.hi, st.fwd, st.succ, t, n,
+                            [usable](NodeId host) {
+                              return usable == nullptr ||
+                                     std::binary_search(usable->begin(),
+                                                        usable->end(), host);
+                            });
 }
 
 void LookupProtocol::schedule_wakeups(Ctx&) const {}
@@ -61,7 +30,7 @@ void LookupProtocol::step(Ctx& ctx) {
     }
     Message fwd = m;
     ++fwd.hops;
-    ctx.send(next, fwd);
+    ctx.send(next, std::move(fwd));
   };
 
   // Fire whatever was injected since the last step (state_mut woke us);

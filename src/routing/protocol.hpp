@@ -6,6 +6,8 @@
 // range shifted by +2^k"). A lookup for guest t is forwarded Chord-style to
 // the neighbor hosting the closest guest preceding t reachable in one hop;
 // the ring level guarantees progress, the top levels make it logarithmic.
+// The rule and its per-host next-hop table live in routing/finger_router
+// (DESIGN.md D16), shared with the KV plane.
 //
 // make_lookup_engine() snapshots a converged stabilizer engine — the
 // realistic hand-off from the maintenance plane to the data plane.
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/network.hpp"
+#include "routing/finger_router.hpp"
 #include "sim/engine.hpp"
 #include "util/interval_map.hpp"
 
@@ -44,6 +47,10 @@ class LookupProtocol {
     std::vector<std::pair<GuestId, std::uint32_t>> delivered;
     // Injected lookups to fire on this host's next step: (target, id).
     std::vector<std::pair<GuestId, std::uint64_t>> to_send;
+    // Next-hop table over (lo, hi, fwd, succ): derived, never serialized,
+    // invalidated by on_restore (DESIGN.md D16). Mutable because next_hop
+    // answers for a const state and builds the table on first use.
+    mutable FingerRouter router;
   };
   struct PublicState {};
 
@@ -65,16 +72,21 @@ class LookupProtocol {
   template <typename A>
   void persist_fields(A&) {}
 
-  /// Best next hop for target t from a host with the given state; kNoneHost
-  /// when t is local or no neighbor makes progress. When `usable` is
-  /// non-null, only hosts in that sorted list are considered — the router
-  /// passes the current neighbor set, because for pruned targets (skiplist,
-  /// smallworld, hypercube) the wave-built fwd maps can reference hosts
-  /// whose span edges the DONE wave removed.
+  /// Engine restore hook: the next-hop table is rebuilt from the restored
+  /// routing state on the host's next hop.
+  void on_restore(NodeState& st) const { st.router.invalidate(); }
+
+  /// Best next hop for target t from a host with the given state: Chord's
+  /// closest-preceding finger, answered by the host's FingerRouter table
+  /// (DESIGN.md D16); kNoneHost when t is local or no candidate exists.
+  /// When `usable` is non-null, only hosts in that sorted list are
+  /// considered — step passes the current neighbor set, because for pruned
+  /// targets (skiplist, smallworld, hypercube) the wave-built fwd maps can
+  /// reference hosts whose span edges the DONE wave removed.
   static NodeId next_hop(const NodeState& st, GuestId t, std::uint64_t n,
                          const std::vector<NodeId>* usable = nullptr);
 
-  static constexpr NodeId kNoneHost = ~std::uint64_t{0};
+  static constexpr NodeId kNoneHost = kNoHop;
 
  private:
   std::uint64_t n_guests_;
