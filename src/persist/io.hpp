@@ -253,14 +253,23 @@ void archive(A& a, T& v);
 
 namespace detail {
 
-/// Element count for a container read: bounded by the bytes actually left,
-/// so a corrupt (or adversarial) length cannot drive an allocation.
-template <typename A>
+/// Cap on the element count of a container of an empty type. Such elements
+/// (a protocol's member-less PublicState) serialize to zero bytes, so the
+/// bytes left cannot bound their count; per-host arrays are the largest
+/// such containers, and 2^24 is 16x the largest engine benched (1M hosts).
+inline constexpr std::uint64_t kMaxEmptyElements = std::uint64_t{1} << 24;
+
+/// Element count for a container of T read: bounded by the bytes actually
+/// left (by kMaxEmptyElements for an empty T), so a corrupt (or
+/// adversarial) length cannot drive an allocation.
+template <typename T, typename A>
 std::uint64_t archive_count(A& a, std::uint64_t n) {
   std::uint64_t c = n;
   a.raw(&c, sizeof c);
   if constexpr (A::kIsReader) {
-    if (c > a.remaining()) {
+    const std::uint64_t bound =
+        std::is_empty_v<T> ? kMaxEmptyElements : a.remaining();
+    if (c > bound) {
       a.fail("container length exceeds blob size");
       return 0;
     }
@@ -292,11 +301,12 @@ void archive(A& a, T& v) {
     a.raw(&u, sizeof u);
     if constexpr (A::kIsReader) v = static_cast<T>(u);
   } else if constexpr (std::is_same_v<T, std::string>) {
-    std::uint64_t n = detail::archive_count(a, v.size());
+    std::uint64_t n = detail::archive_count<char>(a, v.size());
     if constexpr (A::kIsReader) v.resize(static_cast<std::size_t>(n));
     if (n != 0) a.raw(v.data(), static_cast<std::size_t>(n));
   } else if constexpr (detail::is_vector<T>::value) {
-    std::uint64_t n = detail::archive_count(a, v.size());
+    std::uint64_t n =
+        detail::archive_count<typename T::value_type>(a, v.size());
     if constexpr (A::kIsReader) {
       // Grow element by element instead of resize(n) up front: the count
       // guard bounds n by the bytes left, but a vector of large elements
@@ -315,7 +325,8 @@ void archive(A& a, T& v) {
     archive(a, v.first);
     archive(a, v.second);
   } else if constexpr (detail::is_map<T>::value) {
-    std::uint64_t n = detail::archive_count(a, v.size());
+    std::uint64_t n =
+        detail::archive_count<typename T::value_type>(a, v.size());
     if constexpr (A::kIsReader) {
       v.clear();
       for (std::uint64_t i = 0; i < n && a.ok(); ++i) {
@@ -332,7 +343,8 @@ void archive(A& a, T& v) {
       }
     }
   } else if constexpr (detail::is_set<T>::value) {
-    std::uint64_t n = detail::archive_count(a, v.size());
+    std::uint64_t n =
+        detail::archive_count<typename T::value_type>(a, v.size());
     if constexpr (A::kIsReader) {
       v.clear();
       for (std::uint64_t i = 0; i < n && a.ok(); ++i) {

@@ -121,6 +121,8 @@ void Protocol::recompute_fragments(HostState& st) const {
       st.out_edge_to_entry[oe.child_pos] = f.entry;
     }
   }
+  st.frags_lo = st.lo;
+  st.frags_hi = st.hi;
 }
 
 GuestId Protocol::entry_of(const HostState& st, GuestId pos) const {
@@ -144,12 +146,6 @@ GuestId Protocol::topmost_entry(const HostState& st) const {
     }
   }
   return best;
-}
-
-std::vector<NodeId> Protocol::structural_neighbors(const HostState& st) const {
-  std::vector<NodeId> out;
-  structural_neighbors(st, out);
-  return out;
 }
 
 void Protocol::structural_neighbors(const HostState& st,
@@ -204,7 +200,8 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
   HostState& st = ctx.state();
   if (st.phase != Phase::kCbt) return;  // DONE prune handles the rest
   if (st.merge.stage != MergeStage::kNone) return;
-  const auto structural = structural_neighbors(st);
+  thread_local std::vector<NodeId> structural;  // scratch, refilled here
+  structural_neighbors(st, structural);
   for (NodeId v : ctx.neighbors()) {
     if (std::binary_search(structural.begin(), structural.end(), v)) continue;
     const auto view = ctx.view(v);
@@ -252,13 +249,15 @@ void Protocol::step_impl(Ctx& ctx) {
 
   // Dispatch the inbox in variant-order priority (control before data), then
   // by arrival. A reset mid-dispatch invalidates the remaining messages.
-  std::vector<const sim::Envelope<Message>*> order;
-  order.reserve(ctx.inbox().size());
+  thread_local std::vector<const sim::Envelope<Message>*> order;  // scratch
+  order.clear();
   for (const auto& env : ctx.inbox()) order.push_back(&env);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto* a, const auto* b) {
-                     return a->msg.index() < b->msg.index();
-                   });
+  const auto by_kind = [](const auto* a, const auto* b) {
+    return a->msg.index() < b->msg.index();
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_kind)) {
+    std::stable_sort(order.begin(), order.end(), by_kind);
+  }
   const std::uint64_t resets_before = st.resets;
   for (const auto* env : order) {
     dispatch(ctx, *env);

@@ -54,7 +54,9 @@ class Protocol {
   /// ctx.state()/ctx.rng() and the ctx action calls — params_, cbt_, and
   /// num_waves_ are immutable after construction, so one Protocol instance
   /// is safely shared by all worker threads. Per-host caches belong in
-  /// HostState (e.g. frags/out_edge_to_entry), never in Protocol members.
+  /// HostState (e.g. frags/out_edge_to_entry), never in Protocol members;
+  /// per-call scratch vectors are function-local thread_locals, cleared on
+  /// entry, carrying nothing from one step to the next.
 
   explicit Protocol(Params params);
 
@@ -140,10 +142,8 @@ class Protocol {
   GuestId entry_of(const HostState& st, GuestId pos) const;
   /// Entry of minimum depth (the fragment the host's own payload rides on).
   GuestId topmost_entry(const HostState& st) const;
-  /// Structural neighbors in phase kCbt: boundary + parent + succ + pred.
-  std::vector<NodeId> structural_neighbors(const HostState& st) const;
-  /// In-place variant (sorted, deduped into `out`): publish() runs once per
-  /// dirty node per round and must reuse the snapshot's buffer.
+  /// Structural neighbors in phase kCbt: boundary + parent + succ + pred,
+  /// sorted and deduped into `out` (callers pass a reused buffer).
   void structural_neighbors(const HostState& st, std::vector<NodeId>& out) const;
   /// Returns the certificate witness w (path me-w-v in current views), or
   /// kNone when no certificate exists; `structural` is
@@ -156,6 +156,16 @@ class Protocol {
 
   // --- detector.cpp (§4.4, Definition 3, Lemmas 1-2) ---
   bool check_local(Ctx& ctx) const;
+  /// Reference check of the map keys against Cbt::crossing_edges(lo, hi):
+  /// the fault::k* code of the first failing test, or 0 when the keys
+  /// match. Walks the tree; check_local calls it only when the cached
+  /// answer below is no.
+  int crossing_key_fault(const HostState& st) const;
+  /// One-pass check of the same keys against the cached fragment geometry
+  /// (DESIGN.md D17): true only if the cache describes the current range
+  /// and the keys match it — then crossing_key_fault(st) is 0. On a fresh
+  /// cache a false answer means crossing_key_fault(st) faults.
+  bool crossing_keys_match_cache(const HostState& st) const;
   void reset_to_singleton(Ctx& ctx);
 
   // --- waves.cpp ---

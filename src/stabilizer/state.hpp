@@ -172,6 +172,70 @@ struct MergeFsm {
 };
 
 // ---------------------------------------------------------------------------
+// Detector fault codes (stabilizer/detector.cpp)
+// ---------------------------------------------------------------------------
+
+/// The code check_local stores in HostState::fault_line when a check fails.
+/// Each value is the detector.cpp source line the check occupied when the
+/// codes were first recorded with __LINE__. fault_line is checkpointed, so
+/// the values are part of the blob format: never renumber one, and give a
+/// new check a new value.
+namespace fault {
+// 0. Well-formedness of my own claims.
+inline constexpr int kSelfIdMismatch = 51;
+inline constexpr int kIdOutsideGuests = 52;
+inline constexpr int kMalformedRange = 53;
+inline constexpr int kRangeNotAnchored = 54;
+inline constexpr int kIdOutsideRange = 55;
+inline constexpr int kRootClaimMismatch = 57;
+inline constexpr int kSuccVsRangeEnd = 58;
+inline constexpr int kPredVsRangeStart = 59;
+inline constexpr int kNoCluster = 60;
+// 1. Map keys vs the crossing-edge geometry.
+inline constexpr int kMissingBoundaryKey = 67;
+inline constexpr int kMissingParentKey = 70;
+inline constexpr int kCrossingKeyCount = 75;
+// 2. Budgets.
+inline constexpr int kMergeBudget = 81;
+inline constexpr int kWaveBudget = 83;
+inline constexpr int kMergeOutsideCbt = 85;
+// 3. Neighbor consistency. The cluster_ok and check_structural codes are
+// overwritten by the caller's code before check_local returns.
+inline constexpr int kForeignCluster = 101;
+inline constexpr int kStructuralSelfOrNone = 106;
+inline constexpr int kStructuralNotNeighbor = 109;
+inline constexpr int kStructuralForeignCluster = 110;
+inline constexpr int kStructuralPosOutsideRange = 113;
+inline constexpr int kStructuralNotMirrored = 124;
+inline constexpr int kBoundaryRef = 128;
+inline constexpr int kParentOfGuestRoot = 134;
+inline constexpr int kParentRef = 135;
+inline constexpr int kSuccNotNeighbor = 138;
+inline constexpr int kSuccForeignCluster = 140;
+inline constexpr int kSuccRangeGap = 141;
+inline constexpr int kSuccNotMirrored = 144;
+inline constexpr int kPredNotNeighbor = 147;
+inline constexpr int kPredForeignCluster = 149;
+inline constexpr int kPredRangeGap = 150;
+inline constexpr int kPredNotMirrored = 151;
+// 4. Phase agreement.
+inline constexpr int kPhaseForeignCluster = 162;
+inline constexpr int kPhaseMismatch = 166;
+// 5. Scaffolded-Chord predicate.
+inline constexpr int kWaveCounterRange = 173;
+inline constexpr int kActiveWaveNotNext = 175;
+inline constexpr int kFingerMapCount = 178;
+inline constexpr int kWaveNeighborMissing = 187;
+inline constexpr int kWaveGap = 191;
+inline constexpr int kFwdCoverageGap = 199;
+inline constexpr int kRevCoverageGap = 201;
+// 6. Silent-phase strictness.
+inline constexpr int kDoneWaveIncomplete = 208;
+inline constexpr int kDoneExtraNeighbor = 216;
+inline constexpr int kDoneMissingNeighbor = 222;
+}  // namespace fault
+
+// ---------------------------------------------------------------------------
 // Host state proper
 // ---------------------------------------------------------------------------
 
@@ -208,9 +272,15 @@ struct HostState {
   NodeId recent_a = kNone, recent_b = kNone;
   std::uint64_t recent_until = 0;
 
-  // Cached fragment geometry for the current range (recomputed on change).
+  // Fragment geometry of [frags_lo, frags_hi), a pure function of that
+  // range (DESIGN.md D17). Derived state: built only by
+  // Protocol::recompute_fragments, never serialized. It equals the geometry
+  // of the current range only while frags_lo/frags_hi match lo/hi — a range
+  // edited without a recompute (state_mut corruption) leaves it stale, and
+  // readers that must stay exact check frags_current() first.
   std::vector<topology::Cbt::Fragment> frags;
   util::FlatMap<GuestId, GuestId> out_edge_to_entry;  // out-edge child pos -> entry
+  std::uint64_t frags_lo = 0, frags_hi = 0;  // range the two caches describe
 
   // Cached at the DONE prune: the exact neighbor set the final configuration
   // requires; any other surviving neighbor is a fault once the prune settles.
@@ -224,10 +294,11 @@ struct HostState {
   // Instrumentation.
   std::uint64_t resets = 0;
   std::uint64_t false_faults = 0;  // resets after the initial sweep (tests)
-  int fault_line = 0;              // detector.cpp line of the last fault
+  int fault_line = 0;              // fault::k* code of the last detector fault
   NodeId fault_aux = kNone;        // offending neighbor, when applicable
 
   bool is_root() const { return cluster == id; }
+  bool frags_current() const { return frags_lo == lo && frags_hi == hi; }
   avatar::Range range() const { return {lo, hi}; }
 
   /// Approximate resident heap bytes of this host's tables (capacities, not

@@ -301,6 +301,73 @@ TEST(Reader, ContainerCountsCannotAmplifyAllocation) {
   EXPECT_LE(v.size(), 3u);   // grew only as far as real bytes allowed
 }
 
+TEST(Reader, EmptyElementCountsAreCapped) {
+  // Elements of an empty type serialize to zero bytes, so the bytes left
+  // cannot bound their count; a fixed cap does. A count over it fails
+  // before the container allocates; one under it restores.
+  using Empty = routing::LookupProtocol::PublicState;
+  const auto read = [](std::uint64_t claimed, std::vector<Empty>& v) {
+    persist::Writer w(persist::BlobKind::kRaw);
+    w.begin_section(persist::tag4("TEST"));
+    w(claimed);
+    w.end_section();
+    const auto blob = w.take();
+    persist::Reader r(blob);
+    EXPECT_TRUE(r.expect_header(persist::BlobKind::kRaw).ok);
+    EXPECT_TRUE(r.open_section(persist::tag4("TEST")).ok);
+    r(v);
+    return r.ok() && r.close_section().ok;
+  };
+  for (const std::uint64_t huge :
+       {persist::detail::kMaxEmptyElements + 1, ~std::uint64_t{0}}) {
+    std::vector<Empty> v;
+    EXPECT_FALSE(read(huge, v)) << huge;
+    EXPECT_EQ(v.capacity(), 0u) << huge;
+  }
+  std::vector<Empty> v;
+  EXPECT_TRUE(read(5, v));
+  EXPECT_EQ(v.size(), 5u);
+}
+
+TEST(LookupCheckpoint, RestoreBlobRoundTrips) {
+  // The lookup plane's PUBS section is a host count with no payload (its
+  // PublicState is empty). A full blob must restore, re-serialize to the
+  // same bytes, and route exactly like the plane it was taken from; a
+  // delta taken later must apply on top of it.
+  util::set_log_level(util::LogLevel::kError);
+  util::Rng rng(7);
+  core::Params p;
+  p.n_guests = 128;
+  auto src = core::make_engine(
+      core::scaffold_graph(graph::sample_ids(24, 128, rng), 128), p, 7);
+  core::install_legal_cbt(*src, core::Phase::kChord);
+  ASSERT_TRUE(core::run_to_convergence(*src, 100000).converged);
+
+  auto a = routing::make_lookup_engine(*src, 1);
+  routing::run_inband_lookups(*a, 40, 3, 1000);
+  const auto blob = a->checkpoint_blob();
+  auto b = routing::make_lookup_engine(*src, 1);
+  const auto s = b->restore_blob(blob);
+  ASSERT_TRUE(s.ok) << s.error;
+  EXPECT_EQ(b->checkpoint_blob(), blob);
+
+  const auto ra = routing::run_inband_lookups(*a, 40, 9, 1000);
+  const auto delta = a->checkpoint_delta_blob();
+  const auto rb = routing::run_inband_lookups(*b, 40, 9, 1000);
+  EXPECT_EQ(rb.issued, ra.issued);
+  EXPECT_EQ(rb.delivered, ra.delivered);  // both planes' logs, cumulative
+  EXPECT_EQ(rb.mean_hops, ra.mean_hops);
+  EXPECT_EQ(rb.max_hops, ra.max_hops);
+  EXPECT_EQ(rb.rounds, ra.rounds);
+  EXPECT_EQ(b->checkpoint_blob(), a->checkpoint_blob());
+
+  auto c = routing::make_lookup_engine(*src, 1);
+  ASSERT_TRUE(c->restore_blob(blob).ok);
+  const auto sd = c->restore_delta_blob(delta);
+  ASSERT_TRUE(sd.ok) << sd.error;
+  EXPECT_EQ(c->checkpoint_blob(), a->checkpoint_blob());
+}
+
 TEST(Mailbox, ConsistencyCheckCatchesWrongArenaSize) {
   sim::MailboxPool<int> mail;
   mail.init(3);
